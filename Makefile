@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-faults test-planner test-reliable lint lint-py bench bench-full check-pythonpath
+.PHONY: test test-fast test-faults test-planner test-reliable lint lint-py perfbench-selftest bench bench-full check-pythonpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -37,6 +37,12 @@ lint: check-pythonpath
 lint-py: check-pythonpath
 	$(PYTHON) -m repro.detlint --strict src/repro benchmarks
 
+# The repo benchmark's own self-test (perfbench/): runs every workload at a
+# tiny size through the engine's construction signatures, so a refactor that
+# breaks a workload's set-up fails here rather than in a benchmark run.
+perfbench-selftest: check-pythonpath
+	$(PYTHON) perfbench/selftest.py
+
 # The quick loop: everything except the multi-second Figure 3/4 experiment
 # sweeps (marked `slow`); stays well under 30 seconds.
 test-fast:
@@ -61,7 +67,7 @@ LATEST_BENCH := $(shell ls BENCH_PR*.json 2>/dev/null | sort -V | tail -1)
 # The regression gate re-runs the (full-mode, seconds-cheap) micro benches
 # and fails on any >25% slowdown against the newest committed baseline; the
 # multi-second fig3/fig4 rows are gated when producing a full BENCH_PR file.
-bench: check-pythonpath test-faults test-planner test-reliable test lint lint-py
+bench: check-pythonpath test-faults test-planner test-reliable test lint lint-py perfbench-selftest
 	$(PYTHON) -m benchmarks --quick
 ifneq ($(LATEST_BENCH),)
 	$(PYTHON) -m benchmarks --only micro --compare $(LATEST_BENCH)

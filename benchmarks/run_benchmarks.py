@@ -22,18 +22,11 @@ Usage::
 
 ``--quick`` shrinks operation counts and populations so the whole sweep
 finishes in well under a minute; full mode matches the committed baselines.
-Every row records which mode produced it (``"quick": true/false``; since
-PR 5 ``"fused": true/false`` — whether strands ran as compiled closures or
-through the interpreted element walk, toggled with ``--interpreted``; since
-PR 8 ``"optimized": true/false`` — whether the cost-based planner ordered the
-joins, toggled with ``--no-optimized``) so that
+Every row records which mode produced it (``"quick": true/false``) so that
 ``--compare`` only ever compares like with like: it checks each freshly-run
 bench against the same-named, same-mode row of the given baseline file and
 exits non-zero when any regresses by more than 25% — the regression gate
 ``make bench`` runs against the newest committed ``BENCH_PR<n>.json``.
-A fused row is never diffed against an interpreted baseline row (rows
-predating the flag count as fused: they were produced by the engine default
-of their day and sit on the same default-mode trajectory).
 
 ``--profile`` wraps each selected benchmark in :mod:`cProfile` and prints the
 top 20 functions by cumulative time — hot-spot hunts in one command, e.g.
@@ -90,7 +83,7 @@ def _timed(fn, rounds: int) -> dict:
 
 
 # --------------------------------------------------------------------------- micro
-def bench_table_ops(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_table_ops(quick: bool):
     """Insert/lookup throughput on a 10k-row soft-state table.
 
     The table has a finite lifetime, so every operation goes through the
@@ -121,7 +114,7 @@ def bench_table_ops(quick: bool, fused: bool = True, optimize: bool = True):
     return run, (2 if quick else 5)
 
 
-def bench_table_expiry_churn(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_table_expiry_churn(quick: bool):
     """Continuous expiry under insert churn (steady-state soft state).
 
     Tuples live 1s and inserts advance time 1ms per op, so the table holds
@@ -147,7 +140,7 @@ def bench_table_expiry_churn(quick: bool, fused: bool = True, optimize: bool = T
     return run, (2 if quick else 5)
 
 
-def bench_pel_arith(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_pel_arith(quick: bool):
     """Execute the compiled ``(X + 1) * 2 < Y`` program (one run per tuple)."""
     from repro.overlog import parse_expression
     from repro.overlog.builtins import make_builtins
@@ -165,7 +158,7 @@ def bench_pel_arith(quick: bool, fused: bool = True, optimize: bool = True):
     return run, (3 if quick else 5)
 
 
-def bench_pel_ring_interval(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_pel_ring_interval(quick: bool):
     """The ``K in (N, S]`` interval test at the heart of Chord's lookup rules."""
     from repro.overlog import parse_expression
     from repro.overlog.builtins import make_builtins
@@ -185,7 +178,7 @@ def bench_pel_ring_interval(quick: bool, fused: bool = True, optimize: bool = Tr
     return run, (3 if quick else 5)
 
 
-def bench_event_loop(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_event_loop(quick: bool):
     """Schedule/cancel/drain churn with interleaved pending() bookkeeping."""
     from repro.sim import EventLoop
 
@@ -206,7 +199,7 @@ def bench_event_loop(quick: bool, fused: bool = True, optimize: bool = True):
 
 
 # --------------------------------------------------------------------- experiments
-def _fig3_bench(quick: bool, shards: int, fused: bool = True, optimize: bool = True):
+def _fig3_bench(quick: bool, shards: int):
     """One Figure 3 workload, shared by the unsharded and sharded rows so
     their parameters cannot drift apart (the rows are only meaningful as a
     directly-comparable pair)."""
@@ -224,8 +217,6 @@ def _fig3_bench(quick: bool, shards: int, fused: bool = True, optimize: bool = T
             lookup_rate=4.0,
             drain_time=30.0,
             shards=shards,
-            fused=fused,
-            optimize=optimize,
         )
         assert result.lookups_issued > 0
         return {"shards": shards} if shards > 1 else None
@@ -233,7 +224,7 @@ def _fig3_bench(quick: bool, shards: int, fused: bool = True, optimize: bool = T
     return run, (1 if quick else 2)
 
 
-def _fig4_bench(quick: bool, shards: int, fused: bool = True, optimize: bool = True):
+def _fig4_bench(quick: bool, shards: int):
     """One Figure 4 churn workload, shared like :func:`_fig3_bench`."""
     from repro.experiments import run_churn_experiment
 
@@ -250,8 +241,6 @@ def _fig4_bench(quick: bool, shards: int, fused: bool = True, optimize: bool = T
             drain_time=30.0,
             program_kwargs=dict(MAINTENANCE_KWARGS),
             shards=shards,
-            fused=fused,
-            optimize=optimize,
         )
         assert result.lookups_issued > 0
         return {"shards": shards} if shards > 1 else None
@@ -259,17 +248,17 @@ def _fig4_bench(quick: bool, shards: int, fused: bool = True, optimize: bool = T
     return run, (1 if quick else 2)
 
 
-def bench_fig3_static(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_fig3_static(quick: bool):
     """The Figure 3 static-membership Chord experiment (scaled population)."""
-    return _fig3_bench(quick, shards=1, fused=fused, optimize=optimize)
+    return _fig3_bench(quick, shards=1)
 
 
-def bench_fig4_churn(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_fig4_churn(quick: bool):
     """The Figure 4 churn experiment (scaled population and session time)."""
-    return _fig4_bench(quick, shards=1, fused=fused, optimize=optimize)
+    return _fig4_bench(quick, shards=1)
 
 
-def bench_fig3_static_sharded(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_fig3_static_sharded(quick: bool):
     """Figure 3 on the sharded driver (shards=2), same workload as
     ``fig3_static`` so the two rows are directly comparable wall-clock.
 
@@ -277,16 +266,16 @@ def bench_fig3_static_sharded(quick: bool, fused: bool = True, optimize: bool = 
     suite enforces that); this row tracks what the conservative-lookahead
     machinery costs — or, on a multi-core backend, saves.
     """
-    return _fig3_bench(quick, shards=2, fused=fused, optimize=optimize)
+    return _fig3_bench(quick, shards=2)
 
 
-def bench_fig4_churn_sharded(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_fig4_churn_sharded(quick: bool):
     """Figure 4 churn on the sharded driver (shards=2), same workload as
     ``fig4_churn`` for a direct wall-clock comparison."""
-    return _fig4_bench(quick, shards=2, fused=fused, optimize=optimize)
+    return _fig4_bench(quick, shards=2)
 
 
-def bench_micro_send_batch(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_micro_send_batch(quick: bool):
     """Raw transport throughput: one datagram train vs. tuple-at-a-time."""
     from repro.core import Tuple
     from repro.net import Network, UniformTopology
@@ -316,7 +305,7 @@ def bench_micro_send_batch(quick: bool, fused: bool = True, optimize: bool = Tru
     return run, (2 if quick else 5)
 
 
-def bench_strand_fire(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_strand_fire(quick: bool):
     """Fused vs. interpreted strand firing on a hot Chord-like rule shape.
 
     Builds one node whose program contains a select → join → assign →
@@ -370,7 +359,7 @@ def bench_strand_fire(quick: bool, fused: bool = True, optimize: bool = True):
     return run, (3 if quick else 5)
 
 
-def bench_micro_join_order(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_micro_join_order(quick: bool):
     """Cost-based join ordering on the wide-vs-link rule shape.
 
     The rule joins a large `wide` table and a small, better-bound `link`
@@ -437,7 +426,7 @@ def bench_micro_join_order(quick: bool, fused: bool = True, optimize: bool = Tru
     return run, (3 if quick else 5)
 
 
-def bench_micro_analyze(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_micro_analyze(quick: bool):
     """Whole-program static analysis of the ~40-rule Chord program.
 
     This is the pass every ``Planner.compile()`` now runs (cached per shared
@@ -460,7 +449,7 @@ def bench_micro_analyze(quick: bool, fused: bool = True, optimize: bool = True):
     return run, (3 if quick else 5)
 
 
-def bench_micro_detlint(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_micro_detlint(quick: bool):
     """Whole-repo determinism lint (``python -m repro.detlint src/repro``).
 
     ``make lint-py`` runs this on every ``make bench``; the row keeps the
@@ -482,7 +471,7 @@ def bench_micro_detlint(quick: bool, fused: bool = True, optimize: bool = True):
     return run, (3 if quick else 5)
 
 
-def bench_fig4_churn_transport(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_fig4_churn_transport(quick: bool):
     """Figure-4 churn on both transport paths: wall-clock plus wire counters.
 
     Persists, next to the timing, the number of send events (scheduled
@@ -499,8 +488,6 @@ def bench_fig4_churn_transport(quick: bool, fused: bool = True, optimize: bool =
         lookup_rate=2.0,
         drain_time=20.0,
         program_kwargs=dict(MAINTENANCE_KWARGS),
-        fused=fused,
-        optimize=optimize,
     )
     sim_seconds = population * 1.0 + 120.0 + 120.0 + 20.0
 
@@ -526,7 +513,7 @@ def bench_fig4_churn_transport(quick: bool, fused: bool = True, optimize: bool =
     return run, (1 if quick else 2)
 
 
-def bench_fig_partition_heal(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_fig_partition_heal(quick: bool):
     """The partition/heal robustness experiment: split, degrade, reconverge.
 
     Wall-clock tracks what the fault-injection layer (link conditioner on
@@ -547,8 +534,6 @@ def bench_fig_partition_heal(quick: bool, fused: bool = True, optimize: bool = T
             partition_duration=30.0 if quick else 40.0,
             recovery_window=90.0 if quick else 120.0,
             monitor_period=5.0,
-            fused=fused,
-            optimize=optimize,
         )
         assert result.recovered
         return {
@@ -561,7 +546,7 @@ def bench_fig_partition_heal(quick: bool, fused: bool = True, optimize: bool = T
     return run, (1 if quick else 2)
 
 
-def bench_fig_loss_recovery(quick: bool, fused: bool = True, optimize: bool = True):
+def bench_fig_loss_recovery(quick: bool):
     """Chord lookups over the reliable layer under Gilbert–Elliott burst loss.
 
     Wall-clock tracks what ack/retransmit/failure-detector bookkeeping on
@@ -589,8 +574,6 @@ def bench_fig_loss_recovery(quick: bool, fused: bool = True, optimize: bool = Tr
             faults=FaultSchedule(
                 [faults.burst_loss(0.0, GilbertElliott(loss_bad=0.9))]
             ),
-            fused=fused,
-            optimize=optimize,
         )
         assert result.lookups_issued > 0
         assert result.retransmits > 0  # the burst schedule really bit
@@ -624,35 +607,6 @@ BENCHES = {
     "fig_loss_recovery": bench_fig_loss_recovery,
 }
 
-#: Benches whose workload actually honours ``--interpreted`` (they thread
-#: ``fused`` into the experiments).  Only their rows are stamped with the
-#: run's mode; the engine micros neither execute strands nor take the flag
-#: (``micro_strand_fire`` always measures both paths), so marking them
-#: interpreted would only make the ``make bench`` regression gate vacuous.
-FUSED_SENSITIVE = {
-    "fig3_static",
-    "fig4_churn",
-    "fig4_churn_transport",
-    "fig3_static_sharded",
-    "fig4_churn_sharded",
-    "fig_partition_heal",
-    "fig_loss_recovery",
-}
-
-#: Benches whose workload honours ``--no-optimized`` (they thread ``optimize``
-#: into the experiments) — the same experiment set as ``FUSED_SENSITIVE``.
-#: ``micro_join_order`` always measures both planner modes itself, so it is
-#: deliberately not listed (mirroring ``micro_strand_fire``).
-OPTIMIZE_SENSITIVE = {
-    "fig3_static",
-    "fig4_churn",
-    "fig4_churn_transport",
-    "fig3_static_sharded",
-    "fig4_churn_sharded",
-    "fig_partition_heal",
-    "fig_loss_recovery",
-}
-
 #: --compare fails on a shared bench slower than baseline by more than this.
 REGRESSION_THRESHOLD = 0.25
 
@@ -679,18 +633,6 @@ def compare_against_baseline(results: dict, baseline_path: str) -> int:
             continue
         if bool(row.get("quick")) != bool(base.get("quick")):
             print(f"  {name}: skipped (quick/full mode mismatch with baseline)")
-            continue
-        # Never diff a fused row against an interpreted one (or vice versa);
-        # rows predating the flag were produced by their engine's default
-        # path and count as fused — the default-mode trajectory is one line.
-        if bool(row.get("fused", True)) != bool(base.get("fused", True)):
-            print(f"  {name}: skipped (fused/interpreted mode mismatch with baseline)")
-            continue
-        # Same rule for the planner knob: rows predating the flag were
-        # produced before the optimizer existed and sit on the default
-        # (optimized) trajectory, so a missing flag counts as True.
-        if bool(row.get("optimized", True)) != bool(base.get("optimized", True)):
-            print(f"  {name}: skipped (optimized/naive mode mismatch with baseline)")
             continue
         compared += 1
         # Gate on the fastest round when both sides recorded it (robust to
@@ -734,21 +676,6 @@ def main(argv=None) -> int:
         help="JSON output path (default: print to stdout only)",
     )
     parser.add_argument(
-        "--interpreted",
-        action="store_true",
-        help="run the experiment benchmarks with fused=False (the interpreted "
-        "rule-strand escape hatch); rows are marked so --compare never diffs "
-        "them against fused baselines",
-    )
-    parser.add_argument(
-        "--optimized",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the experiment benchmarks with the cost-based planner "
-        "(--no-optimized uses naive body-order placement); rows are marked "
-        "so --compare never diffs across the knob",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="profile each selected benchmark with cProfile and print the "
@@ -781,7 +708,7 @@ def main(argv=None) -> int:
     for name, factory in BENCHES.items():
         if args.only and args.only not in name:
             continue
-        fn, rounds = factory(args.quick, not args.interpreted, args.optimized)
+        fn, rounds = factory(args.quick)
         print(f"[bench] {name} ({rounds} round{'s' if rounds != 1 else ''}) ...", flush=True)
         if args.profile:
             import cProfile
@@ -795,10 +722,6 @@ def main(argv=None) -> int:
         else:
             results[name] = _timed(fn, rounds)
         results[name]["quick"] = args.quick
-        results[name]["fused"] = not (args.interpreted and name in FUSED_SENSITIVE)
-        results[name]["optimized"] = not (
-            not args.optimized and name in OPTIMIZE_SENSITIVE
-        )
         print(f"[bench] {name}: mean {results[name]['mean_s']:.6f}s", flush=True)
 
     width = max(len(n) for n in results) if results else 0

@@ -1,10 +1,11 @@
 """Relational dataflow operators.
 
 These are the database-flavoured elements of Section 3.4: selection,
-projection, assignment, stream-table equijoin, anti-join (negation), tuple
-aggregation, and the table bridge elements (Insert / Delete).  Each is
-parameterised by PEL programs produced by the planner and evaluates them
-against the tuples flowing through.
+projection, assignment, stream-table equijoin, anti-join (negation), and
+tuple aggregation.  Each is parameterised by PEL programs produced by the
+planner and evaluates them against the tuples flowing through.  Table
+writes are not elements: the node runtime applies a strand's head routes
+(insert, delete, send) after the strand finishes.
 
 Every operator needs a *host* to build evaluation contexts: the hosting node
 runtime (clock, RNG, address, identifier space, built-in registry).  Tests use
@@ -406,37 +407,3 @@ class Aggregate(Element):
             out.append(Tuple(rows[0].name, fields))
         self.stats.emitted += len(out)
         return out
-
-
-class Insert(Element):
-    """Stores incoming tuples in a table, then forwards them as deltas.
-
-    Forwarding-after-store is what drives table-delta rule strands (e.g. Chord
-    N1 ``succEvent :- succ``) and keeps soft state refreshed across rules.
-    """
-
-    kind = "insert"
-
-    def __init__(self, host: Any, table: Table, name: str = ""):
-        super().__init__(name or f"insert:{table.name}")
-        self.host = host
-        self.table = table
-
-    def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
-        self.table.insert(tup, self.host.now())
-        return (tup,)
-
-
-class Delete(Element):
-    """Deletes the tuple's primary key from a table (``delete`` rules)."""
-
-    kind = "delete"
-
-    def __init__(self, host: Any, table: Table, name: str = ""):
-        super().__init__(name or f"delete:{table.name}")
-        self.host = host
-        self.table = table
-
-    def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
-        self.table.delete(tup, self.host.now())
-        return ()

@@ -33,8 +33,9 @@ from typing import FrozenSet
 #:   event_loop.EventLoop` (and the sharded driver's member loops)
 #: * ``route`` / ``inject`` / ``receive`` / ``receive_batch`` —
 #:   :class:`repro.runtime.node.P2Node` entry points
-#: * ``emit`` / ``emit_batch`` / ``push`` / ``push_batch`` — dataflow
-#:   element hand-offs (:mod:`repro.dataflow.element`)
+#: * ``emit`` / ``emit_batch`` / ``push`` / ``push_batch`` — the
+#:   conventional names of element-to-element hand-offs; no dataflow
+#:   element defines them today, but one that did would count as emitting
 #: * ``enqueue`` / ``flush`` — the transmit buffer's egress path
 SINK_NAMES: FrozenSet[str] = frozenset(
     {

@@ -85,8 +85,6 @@ def run_churn_experiment(
     program_kwargs: Optional[dict] = None,
     batching: bool = True,
     shards: int = 1,
-    fused: bool = True,
-    optimize: bool = True,
     reliable: bool = False,
     crash: bool = False,
     faults=None,
@@ -97,11 +95,10 @@ def run_churn_experiment(
     """Boot, stabilise, then churn for *churn_duration* while issuing lookups.
 
     ``shards >= 2`` runs the population on that many event loops under
-    conservative lookahead; ``fused=False`` interprets the rule strands
-    instead of running their compiled closures.  Results are identical
-    either way.  ``crash=True`` turns departures into crashes (soft state
-    wiped, no leave processing) — the harsher regime the paper's robustness
-    claim is about; ``faults``/``monitors``/``lookup_timeout`` work as in
+    conservative lookahead; results are identical either way.
+    ``crash=True`` turns departures into crashes (soft state wiped, no leave
+    processing) — the harsher regime the paper's robustness claim is about;
+    ``faults``/``monitors``/``lookup_timeout`` work as in
     :func:`~repro.experiments.chord_static.run_static_experiment`.
     """
     topology = TransitStubTopology(domains=domains, seed=seed)
@@ -114,8 +111,6 @@ def run_churn_experiment(
         program_kwargs=program_kwargs,
         batching=batching,
         shards=shards,
-        fused=fused,
-        optimize=optimize,
         reliable=reliable,
         faults=faults,
         monitors=monitors,

@@ -141,8 +141,6 @@ def run_partition_experiment(
     program_kwargs: Optional[dict] = None,
     batching: bool = True,
     shards: int = 1,
-    fused: bool = True,
-    optimize: bool = True,
     reliable: bool = False,
 ) -> PartitionChordResult:
     """Boot and stabilise a ring, split it in two, heal, measure reconvergence.
@@ -175,8 +173,6 @@ def run_partition_experiment(
         program_kwargs=kwargs,
         batching=batching,
         shards=shards,
-        fused=fused,
-        optimize=optimize,
         reliable=reliable,
     )
     sim = network.simulation

@@ -92,8 +92,6 @@ def run_static_experiment(
     program_kwargs: Optional[dict] = None,
     batching: bool = True,
     shards: int = 1,
-    fused: bool = True,
-    optimize: bool = True,
     reliable: bool = False,
     faults=None,
     monitors: Sequence = (),
@@ -103,12 +101,11 @@ def run_static_experiment(
     """Boot, stabilise, measure idle bandwidth, then drive lookups.
 
     ``shards >= 2`` runs the population on that many event loops under
-    conservative lookahead; ``fused=False`` interprets the rule strands
-    instead of running their compiled closures.  Results are identical
-    either way.  ``faults`` arms a fault schedule, ``monitors`` installs
-    periodic invariant probes (instances or network-taking factories), and
-    ``lookup_timeout`` makes abandoned lookups count as failed — all off by
-    default, leaving the fault-free figures untouched.
+    conservative lookahead; results are identical either way.  ``faults``
+    arms a fault schedule, ``monitors`` installs periodic invariant probes
+    (instances or network-taking factories), and ``lookup_timeout`` makes
+    abandoned lookups count as failed — all off by default, leaving the
+    fault-free figures untouched.
     """
     topology = TransitStubTopology(domains=domains, seed=seed)
     network = chord.build_chord_network(
@@ -120,8 +117,6 @@ def run_static_experiment(
         program_kwargs=program_kwargs,
         batching=batching,
         shards=shards,
-        fused=fused,
-        optimize=optimize,
         reliable=reliable,
         faults=faults,
         monitors=monitors,

@@ -320,8 +320,6 @@ def build_chord_network(
     program_kwargs: Optional[dict] = None,
     batching: bool = True,
     shards: int = 1,
-    fused: bool = True,
-    optimize: bool = True,
     reliable: bool = False,
     faults=None,
     monitors: Sequence = (),
@@ -351,8 +349,6 @@ def build_chord_network(
             classifier=classify_chord_traffic,
             batching=batching,
             shards=shards,
-            fused=fused,
-            optimize=optimize,
             reliable=reliable,
         )
     network = ChordNetwork(simulation=simulation, landmark="")

@@ -56,7 +56,7 @@ class CompiledDataflow:
     transmit: Optional[TransmitBuffer] = None
     #: True when every strand runs through the closure compiled by
     #: :mod:`repro.planner.strand_compiler` (the default); False is the
-    #: element-walking escape hatch / differential oracle
+    #: element-walking differential oracle
     fused: bool = False
     #: True when body terms were placed by the cost-based optimizer
     #: (:mod:`repro.planner.optimizer`); False is the naive body-order walk
@@ -532,6 +532,12 @@ class Planner:
             count = int(args[3].value)
             if count == 0:
                 count = None
+        if period == 0 and count is None:
+            # a zero-period timer with no count re-fires at the same instant
+            # forever, so simulated time never advances
+            raise PlannerError(
+                f"rule {rule.rule_id}: a periodic with period 0 needs a positive count"
+            )
         return PeriodicSpec(strand=strand, period=period, count=count, arity=len(args))
 
     # -- small helpers ----------------------------------------------------------------------

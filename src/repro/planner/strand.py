@@ -16,8 +16,8 @@ Two executors exist per strand.  The *interpreted* walk below
 batch list per operator; it is the reference semantics.  The default
 execution path is the *fused* closure compiled by
 :mod:`repro.planner.strand_compiler`, installed over :meth:`process` at plan
-time — the interpreted walk is kept as the differential-testing oracle and
-as the ``fused=False`` escape hatch.
+time — the interpreted walk is kept as the differential-testing oracle,
+selected per node with ``P2Node(fused=False)``.
 """
 
 from __future__ import annotations

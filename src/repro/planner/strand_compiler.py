@@ -34,11 +34,9 @@ batch-by-batch (interpreted) or depth-first (fused), the fused closure
 produces the same :class:`HeadRoute` sequence, the same ``fired`` /
 ``produced`` counters, and the same per-element ``dropped`` / ``emitted``
 stats as the interpreted walk — bit for bit.  The interpreted walk survives
-as the differential-testing oracle (``tests/test_strand_fusion.py``), and
-``fused=False`` threads through :class:`~repro.planner.planner.Planner`,
-:class:`~repro.runtime.node.P2Node`, and
-:class:`~repro.runtime.system.OverlaySimulation` as the escape hatch,
-exactly like ``batching`` and ``shards``.
+as the differential-testing oracle (``tests/test_strand_fusion.py``); a test
+selects it per node with ``P2Node(fused=False)``, which reaches
+:class:`~repro.planner.planner.Planner`.
 
 Compiled strands are *not* reentrant: one firing state is reused per strand,
 which is safe because strand execution is run-to-completion (head routes are

@@ -74,7 +74,7 @@ class P2Node:
         self.alive = False
         self.batching = batching
         #: strands run as fused closures by default; ``fused=False`` is the
-        #: interpreted element-walk escape hatch (the differential oracle)
+        #: interpreted element walk (the differential oracle)
         self.fused = fused
         #: body terms placed by the cost-based optimizer by default;
         #: ``optimize=False`` keeps the naive body-order plans (the oracle)

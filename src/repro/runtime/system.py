@@ -50,8 +50,6 @@ class OverlaySimulation:
         classifier: Optional[Callable[[Tuple], str]] = None,
         batching: bool = True,
         shards: int = 1,
-        fused: bool = True,
-        optimize: bool = True,
         reliable: bool = False,
         faults: Optional[FaultSchedule] = None,
         monitors: Sequence[Monitor] = (),
@@ -78,12 +76,6 @@ class OverlaySimulation:
         #: whether nodes coalesce each drain's outbound tuples into datagram
         #: trains (the default) or send tuple-at-a-time (the escape hatch)
         self.batching = batching
-        #: whether node strands run as fused closures (the default) or
-        #: through the interpreted element walk (the differential oracle)
-        self.fused = fused
-        #: whether node plans come from the cost-based optimizer (the
-        #: default) or the naive body-order walk (the plan-level oracle)
-        self.optimize = optimize
         #: whether the network runs the ack/retransmit reliability layer
         #: (net/reliable.py); False — the default — is best-effort datagrams
         self.reliable = reliable
@@ -142,8 +134,6 @@ class OverlaySimulation:
             extra_builtins=extra_builtins,
             batching=self.batching,
             shard=shard,
-            fused=self.fused,
-            optimize=self.optimize,
         )
         self.network.register(node)
         self.nodes[address] = node
@@ -242,8 +232,6 @@ def transit_stub_simulation(
     classifier: Optional[Callable[[Tuple], str]] = None,
     batching: bool = True,
     shards: int = 1,
-    fused: bool = True,
-    optimize: bool = True,
     reliable: bool = False,
     faults: Optional[FaultSchedule] = None,
     monitors: Sequence[Monitor] = (),
@@ -258,8 +246,6 @@ def transit_stub_simulation(
         classifier=classifier,
         batching=batching,
         shards=shards,
-        fused=fused,
-        optimize=optimize,
         reliable=reliable,
         faults=faults,
         monitors=monitors,

@@ -1,15 +1,7 @@
-"""Tests for the element-level batch primitives the transport batching rides on.
+"""Tests for the batch primitives the transport batching rides on.
 
-PR 2 introduced ``push_batch`` / ``emit_batch`` / ``DeltaBuffer`` as building
-blocks but left them untested in isolation; now that planner-built graphs and
-the network depend on them, these tests pin down:
+These pin down:
 
-* ``DeltaBuffer`` coalescing (a burst of pushes leaves as exactly one
-  downstream batch, in order);
-* ``emit_batch`` fan-out (every consumer sees the whole batch, in order, as
-  one transfer);
-* ``Demux.push_batch`` grouping (per-consumer batches preserve per-consumer
-  arrival order, including consumers registered for several relations);
 * ``TransmitBuffer`` grouping (per-destination batches in first-appearance
   order);
 * a randomized differential check that a node fed tuple-at-a-time and
@@ -21,145 +13,7 @@ import random
 import pytest
 
 from repro.core import Tuple
-from repro.core.errors import DataflowError
-from repro.dataflow import (
-    DeltaBuffer,
-    Demux,
-    Dup,
-    Element,
-    Filter,
-    Queue,
-    Sink,
-    TransmitBuffer,
-)
-
-
-def tuples_named(name, n, start=0):
-    return [Tuple.make(name, "a", i) for i in range(start, start + n)]
-
-
-class TestDeltaBuffer:
-    def test_coalesces_pushes_into_one_batch(self):
-        buffer = DeltaBuffer()
-        sink = Sink()
-        buffer.connect(sink)
-        burst = tuples_named("delta", 7)
-        for tup in burst:
-            buffer.push(tup)
-        assert sink.collected == []
-        assert buffer.flush() == 7
-        assert sink.collected == burst
-        assert sink.batches == [burst]
-        assert buffer.flushes == 1
-
-    def test_flush_empty_is_noop(self):
-        buffer = DeltaBuffer()
-        sink = Sink()
-        buffer.connect(sink)
-        assert buffer.flush() == 0
-        assert sink.batches == []
-        assert buffer.flushes == 0
-
-    def test_push_batch_extends_buffer(self):
-        buffer = DeltaBuffer()
-        sink = Sink()
-        buffer.connect(sink)
-        first = tuples_named("delta", 3)
-        second = tuples_named("delta", 3, start=3)
-        buffer.push_batch(first)
-        buffer.push_batch(second)
-        assert len(buffer) == 6
-        buffer.flush()
-        assert sink.batches == [first + second]
-
-
-class TestEmitBatch:
-    def test_every_consumer_sees_whole_batch_in_order(self):
-        element = Element("fanout")
-        sinks = [Sink(f"s{i}") for i in range(3)]
-        for sink in sinks:
-            element.connect(sink)
-        burst = tuples_named("event", 5)
-        element.emit_batch(burst)
-        for sink in sinks:
-            assert sink.collected == burst
-            assert sink.batches == [burst]
-
-    def test_empty_batch_emits_nothing(self):
-        element = Element("fanout")
-        sink = Sink()
-        element.connect(sink)
-        element.emit_batch([])
-        assert sink.batches == []
-        assert element.stats.emitted == 0
-
-    def test_default_push_batch_replays_through_process(self):
-        keep_even = Filter(lambda t: t.fields[1] % 2 == 0)
-        sink = Sink()
-        keep_even.connect(sink)
-        keep_even.push_batch(tuples_named("event", 6))
-        assert [t.fields[1] for t in sink.collected] == [0, 2, 4]
-
-    def test_dup_batches_to_all_output_ports(self):
-        dup = Dup()
-        first, second = Sink("first"), Sink("second")
-        dup.connect(first, output_port=0)
-        dup.connect(second, output_port=1)
-        burst = tuples_named("event", 4)
-        dup.push_batch(burst)
-        assert first.batches == [burst]
-        assert second.batches == [burst]
-
-
-class TestDemuxPushBatch:
-    def test_per_consumer_batches_preserve_arrival_order(self):
-        demux = Demux()
-        looker, stabber = Sink("looker"), Sink("stabber")
-        demux.register("lookup", looker)
-        demux.register("stabilize", stabber)
-        lookups = tuples_named("lookup", 3)
-        stabs = tuples_named("stabilize", 2)
-        interleaved = [lookups[0], stabs[0], lookups[1], lookups[2], stabs[1]]
-        demux.push_batch(interleaved)
-        assert looker.batches == [lookups]
-        assert stabber.batches == [stabs]
-
-    def test_multi_relation_consumer_gets_one_merged_batch(self):
-        demux = Demux()
-        both = Sink("both")
-        demux.register("lookup", both)
-        demux.register("stabilize", both)
-        interleaved = [
-            Tuple.make("lookup", "a", 0),
-            Tuple.make("stabilize", "a", 1),
-            Tuple.make("lookup", "a", 2),
-        ]
-        demux.push_batch(interleaved)
-        # one batch, in exact arrival order — not one batch per relation
-        assert both.batches == [interleaved]
-
-    def test_unclaimed_tuples_drop_or_default(self):
-        demux = Demux()
-        demux.push_batch(tuples_named("mystery", 3))
-        assert demux.stats.dropped == 3
-        fallback = Sink("fallback")
-        demux.set_default(fallback)
-        burst = tuples_named("mystery", 2)
-        demux.push_batch(burst)
-        assert fallback.batches == [burst]
-
-    def test_queue_push_batch_respects_capacity(self):
-        queue = Queue(capacity=4)
-        queue.push_batch(tuples_named("event", 6))
-        assert len(queue) == 4
-        assert queue.stats.dropped == 2
-        drained = []
-        while True:
-            tup = queue.pull()
-            if tup is None:
-                break
-            drained.append(tup)
-        assert [t.fields[1] for t in drained] == [0, 1, 2, 3]
+from repro.dataflow import TransmitBuffer
 
 
 class TestTransmitBuffer:
@@ -176,14 +30,6 @@ class TestTransmitBuffer:
         assert flushed == [("b", [t1, t3]), ("c", [t2])]
         assert len(buffer) == 0
         assert buffer.flushes == 1 and buffer.batches == 2
-
-    def test_push_routes_by_location_field(self):
-        buffer = TransmitBuffer()
-        buffer.push(Tuple.make("m", "dest-1", 1))
-        buffer.push_batch([Tuple.make("m", "dest-2", 2), Tuple.make("m", "dest-1", 3)])
-        assert buffer.destinations() == ["dest-1", "dest-2"]
-        with pytest.raises(DataflowError):
-            buffer.push(Tuple("bare"))
 
     def test_clear_discards_everything(self):
         buffer = TransmitBuffer()

@@ -134,6 +134,25 @@ class TestPlannerCompilation:
         with pytest.raises(PlannerError):
             compile_program("R1 refreshEvent@X(X) :- periodic@X(X, E, P).")
 
+    @pytest.mark.parametrize("args", ["NI, E, 0", "NI, E, 0, 0"])
+    def test_zero_period_without_count_rejected(self, args):
+        # would re-fire at the same instant forever and hang the run
+        with pytest.raises(PlannerError, match="rule T0: .*period 0"):
+            compile_program(f"T0 tick@NI(NI, E) :- periodic@NI({args}).")
+
+    def test_narada_one_shot_periodics_fire_once(self):
+        from repro.overlays.narada import narada_program
+        from repro.runtime import OverlaySimulation
+
+        sim = OverlaySimulation(narada_program(), seed=1)
+        node = sim.add_node("a")
+        sim.run_for(10.0)
+        one_shots = [spec for spec in node.compiled.periodics if spec.period == 0]
+        assert len(one_shots) == 2  # rules S0 and I1
+        for spec in one_shots:
+            assert spec.count == 1
+            assert spec.strand.fired == 1
+
     def test_delete_rule(self):
         compiled, _, _ = compile_program(
             "materialize(neighbor, infinity, infinity, keys(2)).\n"

@@ -38,6 +38,7 @@ from tests.support.genprograms import (
     populate_tables,
     random_value,
 )
+from tests.support.oracles import oracle_nodes
 from tests.test_strand_fusion import OVERLAY_PROGRAMS
 
 #: every non-oracle point of the optimize × fused grid
@@ -345,8 +346,9 @@ def test_chord_static_bit_identical_optimized_vs_naive():
         lookup_rate=3.0,
         drain_time=15.0,
     )
-    a = run_static_experiment(8, optimize=True, **kwargs)
-    b = run_static_experiment(8, optimize=False, **kwargs)
+    a = run_static_experiment(8, **kwargs)
+    with oracle_nodes(8, optimize=False):
+        b = run_static_experiment(8, **kwargs)
     assert a.__dict__ == b.__dict__
 
 
@@ -367,6 +369,7 @@ def test_chord_churn_bit_identical_optimized_vs_naive():
             finger_period=5.0,
         ),
     )
-    a = run_churn_experiment(6, 120.0, optimize=True, **kwargs)
-    b = run_churn_experiment(6, 120.0, optimize=False, **kwargs)
+    a = run_churn_experiment(6, 120.0, **kwargs)
+    with oracle_nodes(6, optimize=False):
+        b = run_churn_experiment(6, 120.0, **kwargs)
     assert a.__dict__ == b.__dict__

@@ -38,6 +38,7 @@ from tests.support.genprograms import (
     populate_tables,
     random_value,
 )
+from tests.support.oracles import oracle_nodes
 
 OVERLAY_PROGRAMS = {
     "chord": chord_program(),
@@ -267,8 +268,9 @@ def test_chord_static_bit_identical_fused_vs_interpreted():
         lookup_rate=3.0,
         drain_time=15.0,
     )
-    a = run_static_experiment(8, fused=True, **kwargs)
-    b = run_static_experiment(8, fused=False, **kwargs)
+    a = run_static_experiment(8, **kwargs)
+    with oracle_nodes(8, fused=False):
+        b = run_static_experiment(8, **kwargs)
     assert a.hop_counts == b.hop_counts
     assert a.lookup_latencies == b.lookup_latencies
     assert a.messages_sent == b.messages_sent
@@ -295,8 +297,9 @@ def test_chord_churn_bit_identical_fused_vs_interpreted():
             finger_period=5.0,
         ),
     )
-    a = run_churn_experiment(6, 120.0, fused=True, **kwargs)
-    b = run_churn_experiment(6, 120.0, fused=False, **kwargs)
+    a = run_churn_experiment(6, 120.0, **kwargs)
+    with oracle_nodes(6, fused=False):
+        b = run_churn_experiment(6, 120.0, **kwargs)
     assert a.lookup_latencies == b.lookup_latencies
     assert a.messages_sent == b.messages_sent
     assert a.datagrams_sent == b.datagrams_sent

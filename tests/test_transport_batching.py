@@ -331,10 +331,11 @@ class TestDeliveryRaces:
 class TestChordDeterminism:
     """The satellite regression: batching must not change the simulation.
 
-    ``Demux.push_batch`` coarsens cross-consumer interleaving; if transport
-    batching ever leaked a reordering into the dataflow (across destinations,
-    across relations, or across datagram boundaries), this run-twice
-    comparison is the test that catches it.
+    A datagram train is delivered as one event, but ``P2Node.receive_batch``
+    still routes its tuples one at a time to fixpoint; if transport batching
+    ever leaked a reordering into the dataflow (across destinations, across
+    relations, or across datagram boundaries), this run-twice comparison is
+    the test that catches it.
     """
 
     KWARGS = dict(

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-faults test-planner test-reliable lint lint-py perfbench-selftest bench bench-full check-pythonpath
+.PHONY: test test-fast test-faults test-planner test-reliable lint lint-py perfbench-selftest perf-ab bench bench-full check-pythonpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -42,6 +42,16 @@ lint-py: check-pythonpath
 # breaks a workload's set-up fails here rather than in a benchmark run.
 perfbench-selftest: check-pythonpath
 	$(PYTHON) perfbench/selftest.py
+
+# Interleaved A/B of the repo benchmark: this checkout against the committed
+# files of BASE, alternating which side runs first each round; prints each
+# end-to-end metric's per-side median and quartiles and the change's wins.
+BASE ?= HEAD
+WORKLOAD ?= chord_churn
+ROUNDS ?= 10
+SEED ?= 1
+perf-ab: check-pythonpath
+	$(PYTHON) benchmarks/perf_ab.py --base $(BASE) --workload $(WORKLOAD) --rounds $(ROUNDS) --seed $(SEED)
 
 # The quick loop: everything except the multi-second Figure 3/4 experiment
 # sweeps (marked `slow`); stays well under 30 seconds.

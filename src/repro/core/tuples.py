@@ -18,6 +18,8 @@ from typing import Any, Iterable, Iterator, Optional, Sequence, Tuple as PyTuple
 from . import values
 from .errors import TupleError
 
+_SCALARS = values.SCALAR_TYPES
+
 _tuple_counter = 0
 
 
@@ -36,15 +38,25 @@ class Tuple:
     name:
         Relation name, e.g. ``"lookup"``.
     fields:
-        The values; coerced through :func:`repro.core.values.coerce`.
+        The values, as any iterable (consumed once); coerced through
+        :func:`repro.core.values.coerce`.
+
+    Every tuple is checked; there is no unchecked constructor.  The check is
+    cheap in the common case: one C-level pass over the field types decides
+    whether all of them are already in :data:`~repro.core.values.SCALAR_TYPES`
+    (which ``coerce`` returns unchanged), and only otherwise — a list, a
+    tuple, a subclass or an unknown object among the fields — does the
+    per-field ``coerce`` pass run, which also rejects unrepresentable values.
     """
 
     __slots__ = ("name", "fields", "_hash")
 
-    def __init__(self, name: str, fields: Sequence[Any] = ()):
+    def __init__(self, name: str, fields: Iterable[Any] = ()):
         if not name or not isinstance(name, str):
             raise TupleError(f"tuple name must be a non-empty string, got {name!r}")
-        coerced = tuple(values.coerce(f) for f in fields)
+        coerced = tuple(fields)
+        if not _SCALARS.issuperset(map(type, coerced)):
+            coerced = tuple(map(values.coerce, coerced))
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "fields", coerced)
         # Precomputed: tuples are hashed on every table insert/lookup and as

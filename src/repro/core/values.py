@@ -49,6 +49,11 @@ class ValueType(enum.IntEnum):
     LIST = 7      # tuple of values (used rarely, e.g. for debugging payloads)
 
 
+#: The exact types :func:`coerce` returns unchanged.  A field whose type is in
+#: this set is already a P2 value, so callers may test ``type(v) in
+#: SCALAR_TYPES`` (one C-level set probe) before paying for :func:`coerce`.
+SCALAR_TYPES = frozenset({type(None), bool, int, float, str, bytes})
+
 #: Integers at or above this magnitude are tagged as IDs when marshaled; the
 #: distinction only affects size accounting, not semantics.
 _ID_THRESHOLD = 1 << 63
@@ -163,10 +168,16 @@ def compare(a: ValueLike, b: ValueLike) -> int:
 
     Values of the same numeric family compare numerically; otherwise the type
     rank decides.  This mirrors P2's ``Value::compareTo`` and is what table
-    indices and ``min``/``max`` aggregates use.
+    indices and ``min``/``max`` aggregates use.  Two integers compare
+    exactly (160-bit identifiers differ below float precision); any pair
+    involving a float compares as floats.
     """
+    if type(a) is int and type(b) is int:
+        return (a > b) - (a < b)
     ra, rb = _rank(a), _rank(b)
     if ra == 2 and rb == 2:
+        if isinstance(a, int) and isinstance(b, int):
+            return (a > b) - (a < b)
         fa, fb = float(a), float(b)  # type: ignore[arg-type]
         return (fa > fb) - (fa < fb)
     if ra != rb:
@@ -178,6 +189,8 @@ def compare(a: ValueLike, b: ValueLike) -> int:
 
 def equal(a: ValueLike, b: ValueLike) -> bool:
     """Equality under the same rules as :func:`compare`."""
+    if type(a) is int and type(b) is int:
+        return a == b
     return compare(a, b) == 0
 
 

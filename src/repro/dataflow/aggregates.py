@@ -35,13 +35,13 @@ def agg_count(items: Sequence[Any]) -> int:
 
 
 def agg_sum(items: Sequence[Any]) -> Any:
+    """Exact integer sum when every item is an int (not a bool), else float."""
+    if all(isinstance(item, int) and not isinstance(item, bool) for item in items):
+        return int(sum(items))
     total = 0.0
-    is_int = True
     for item in items:
-        if not isinstance(item, int) or isinstance(item, bool):
-            is_int = False
         total += values.to_float(item)
-    return int(total) if is_int else total
+    return total
 
 
 def agg_avg(items: Sequence[Any]) -> float:

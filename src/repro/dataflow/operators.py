@@ -12,17 +12,22 @@ runtime (clock, RNG, address, identifier space, built-in registry).  Tests use
 a lightweight stand-in.
 
 Each operator additionally exposes a *compile hook* (``fuse_stage`` /
-``fuse_builder``) that hands the strand compiler
+``fuse_builder`` / ``fuse_fields``) that hands the strand compiler
 (:mod:`repro.planner.strand_compiler`) a closure over the operator's bound
 programs, table, and statistics counters.  The closures operate on bare field
 tuples (no intermediate :class:`~repro.core.tuples.Tuple` objects, no per-eval
 :class:`~repro.pel.vm.EvalContext`) but maintain the exact same per-element
 stats the interpreted ``process`` methods do, so fused and interpreted strand
-execution are observably identical.
+execution are observably identical.  Aggregate heads stay bare all the way:
+:meth:`Project.fuse_fields` yields head-field tuples and
+:meth:`Aggregate.fold` folds them into one ``Tuple`` per group, the fused
+counterpart of :meth:`Aggregate.aggregate` over projected ``Tuple`` objects.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import itemgetter
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core import values
@@ -133,10 +138,14 @@ class Assign(PelElement):
         """
         fn = self.program.compiled()
         coerce = values.coerce
+        scalars = values.SCALAR_TYPES
 
         def stage(fields):
             ctx.fields = fields
-            downstream(fields + (coerce(fn(ctx)),))
+            value = fn(ctx)
+            if type(value) not in scalars:
+                value = coerce(value)
+            downstream(fields + (value,))
 
         return stage
 
@@ -164,30 +173,42 @@ class Project(PelElement):
     def fuse_builder(self, ctx: EvalContext) -> Callable[[PyTuple[Any, ...]], Tuple]:
         """Compile hook: ``build(fields) -> head Tuple``.
 
-        Head fields that are bare variable references become plain field
-        accesses; only computed fields go through their compiled programs.
-        The returned :class:`Tuple` constructor applies the same coercion the
-        interpreted path relies on.
+        The head fields come from :meth:`fuse_fields`; the :class:`Tuple`
+        constructor applies the same check the interpreted path relies on.
         """
         name = self.output_name
+        fields_of = self.fuse_fields(ctx)
+        return lambda fields: Tuple(name, fields_of(fields))
+
+    def fuse_fields(self, ctx: EvalContext) -> Callable[[PyTuple[Any, ...]], PyTuple[Any, ...]]:
+        """Compile hook: ``fields_of(fields) -> head field tuple``, no ``Tuple``.
+
+        Head fields that are bare variable references become plain field
+        accesses (they come out of coerced tuples or an :class:`Assign`);
+        only computed fields go through their compiled programs, and are
+        coerced after all programs ran, as the interpreted ``Tuple`` build
+        does.  Aggregate heads fold these rows with :meth:`Aggregate.fold`;
+        :meth:`fuse_builder` wraps them in a ``Tuple``.
+        """
         spec = []
         for p in self.programs:
             i = p.as_field_load()
             spec.append((i, None) if i is not None else (None, p.compiled()))
-        if all(fn is None for _, fn in spec):
-            idx = tuple(i for i, _ in spec)
+        computed = tuple(j for j, (_, fn) in enumerate(spec) if fn is not None)
+        if not computed and len(spec) > 1:
+            return itemgetter(*(i for i, _ in spec))
+        coerce = values.coerce
+        scalars = values.SCALAR_TYPES
 
-            def build(fields):
-                return Tuple(name, [fields[i] for i in idx])
-
-            return build
-        spec = tuple(spec)
-
-        def build(fields):
+        def fields_of(fields):
             ctx.fields = fields
-            return Tuple(name, [fields[i] if fn is None else fn(ctx) for i, fn in spec])
+            row = [fields[i] if fn is None else fn(ctx) for i, fn in spec]
+            for j in computed:
+                if type(row[j]) not in scalars:
+                    row[j] = coerce(row[j])
+            return tuple(row)
 
-        return build
+        return fields_of
 
 
 class LookupJoin(PelElement):
@@ -215,9 +236,6 @@ class LookupJoin(PelElement):
         self.table = table
         self.table_positions = list(table_positions)
         self.key_programs = list(key_programs)
-
-    def matches(self, tup: Tuple) -> List[Tuple]:
-        return list(self._matches_iter(tup))
 
     def _matches_iter(self, tup: Tuple) -> Iterable[Tuple]:
         """Matching rows as a live, copy-free iterable.
@@ -405,5 +423,31 @@ class Aggregate(Element):
             for pos, fn in self._agg_funcs:
                 fields[pos] = fn([r.fields[pos] for r in rows])
             out.append(Tuple(rows[0].name, fields))
+        self.stats.emitted += len(out)
+        return out
+
+    def fold(self, name: str, rows: Sequence[PyTuple[Any, ...]]) -> List[Tuple]:
+        """:meth:`aggregate` over bare head-field tuples, named *name*.
+
+        The fused strands collect head fields with
+        :meth:`Project.fuse_fields` and fold them here, building one
+        :class:`Tuple` per group instead of one per row.  Groups, their order
+        (first appearance), the aggregate values and ``stats.emitted`` are
+        those :meth:`aggregate` gives for the same rows as tuples.  An empty
+        batch folds to nothing; the ``count`` fallback row stays with
+        :meth:`aggregate`.
+        """
+        positions = self.group_positions
+        # one position yields a bare key, which groups exactly as its 1-tuple
+        key_of = itemgetter(*positions) if positions else (lambda row: ())
+        groups: "defaultdict[Any, List[PyTuple[Any, ...]]]" = defaultdict(list)
+        for row in rows:
+            groups[key_of(row)].append(row)
+        out: List[Tuple] = []
+        for group in groups.values():
+            fields = list(group[0])
+            for pos, fn in self._agg_funcs:
+                fields[pos] = fn([r[pos] for r in group])
+            out.append(Tuple(name, fields))
         self.stats.emitted += len(out)
         return out

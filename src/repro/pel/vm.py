@@ -11,19 +11,26 @@ Execution strategy
 PEL programs are compiled by the planner once and then executed per tuple —
 often millions of times per experiment.  Instead of re-dispatching on the
 opcode of every instruction at every execution (a long ``if/elif`` chain per
-instruction), each :class:`~repro.pel.program.Program` is *closure-compiled*
-once, at load time: every instruction becomes a small Python closure that
-performs its operation and tail-calls the next instruction's closure, so the
-whole program collapses into a single callable.  ``VM.execute`` then is one
-call — the Python analogue of the paper's "tens of machine instructions per
-element hand-off" claim.  The original opcode interpreter is kept as
-:meth:`PelVM.execute_interpreted` and serves as the differential-testing
-oracle for the compiled path.
+instruction), each :class:`~repro.pel.program.Program` is compiled once, at
+load time, into an *expression tree* of nested closures.  The stack code is
+executed symbolically: each stack slot holds the closure that computes it,
+so every operator becomes one closure over its input closures that returns
+its value.  There is no runtime stack and no per-instruction dispatch, and
+``VM.execute`` is one call — the Python analogue of the paper's "tens of
+machine instructions per element hand-off" claim.  ``ADD``/``SUB``/``MUL``/
+``EQ``/``NE`` test ``type(x) is int`` on both inputs and then use the native
+operator, a dynamic int specialisation; anything else goes through the
+shared :mod:`repro.core.values` helpers.  The planner emits only pure
+expressions; a program that is not one (``DUP``/``POP``, a leftover stack) or
+is longer than :data:`MAX_CHAINED_INSTRUCTIONS` runs through the original
+opcode interpreter, :meth:`PelVM.execute_interpreted`, which is also the
+differential-testing oracle for the compiled path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+import operator
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import values
 from ..core.errors import PELError
@@ -33,8 +40,8 @@ from .program import Program
 
 BuiltinFunction = Callable[..., Any]
 
-#: Programs longer than this are run through the interpreter instead of the
-#: closure chain (tail-calls nest one Python frame per instruction, and real
+#: Programs longer than this are run through the interpreter instead of an
+#: expression tree (evaluation nests one Python frame per tree level, and real
 #: planner output is tens of instructions at most — this is purely a guard
 #: against pathological hand-built programs hitting the recursion limit).
 MAX_CHAINED_INSTRUCTIONS = 400
@@ -104,17 +111,18 @@ def _arith(a: Any, b: Any, op: str) -> Any:
     # String concatenation mirrors P2's Value semantics for '+'.
     if op == "+" and (isinstance(a, str) or isinstance(b, str)):
         return values.to_str(a) + values.to_str(b)
+    if isinstance(a, int) and isinstance(b, int) and not isinstance(a, bool) and not isinstance(b, bool):
+        # Exact: integers never round-trip through float, so 160-bit ring
+        # identifiers keep their low bits.
+        a, b = int(a), int(b)
+        if op == "+":
+            return a + b
+        return a - b if op == "-" else a * b
     fa = values.to_float(a)
     fb = values.to_float(b)
     if op == "+":
-        result = fa + fb
-    elif op == "-":
-        result = fa - fb
-    else:
-        result = fa * fb
-    if isinstance(a, int) and isinstance(b, int) and not isinstance(a, bool) and not isinstance(b, bool):
-        return int(result)
-    return result
+        return fa + fb
+    return fa - fb if op == "-" else fa * fb
 
 
 def _divide(a: Any, b: Any) -> float:
@@ -124,275 +132,171 @@ def _divide(a: Any, b: Any) -> float:
     return values.to_float(a) / fb
 
 
-# ---------------------------------------------------------- closure compilation
-# Each factory takes (operand, next_step) and returns a closure
-# ``step(stack, ctx)`` that performs the instruction and tail-calls
-# ``next_step``.  The chain's terminator returns the top of the stack.
+# ------------------------------------------------------------- tree compilation
+# Each factory takes an instruction's operand and the nodes computing its
+# inputs (in stack order) and returns ``node(ctx) -> value``.  A node
+# evaluates every input, left to right, before it operates: the order in
+# which the stack code would have pushed them.
 
-def _terminator(stack: List[Any], ctx: EvalContext) -> Any:
-    return stack[-1] if stack else None
-
-
-def _c_push(operand, nxt):
-    def step(stack, ctx):
-        stack.append(operand)
-        return nxt(stack, ctx)
-    return step
+def _n_push(value):
+    return lambda ctx: value
 
 
-def _c_load(operand, nxt):
-    def step(stack, ctx):
+def _n_load(position):
+    def node(ctx):
         try:
-            stack.append(ctx.fields[operand])
+            return ctx.fields[position]
         except IndexError:
             raise PELError(
-                f"LOAD {operand} out of range (tuple arity {len(ctx.fields)})"
+                f"LOAD {position} out of range (tuple arity {len(ctx.fields)})"
             ) from None
-        return nxt(stack, ctx)
-    return step
+    return node
 
 
-def _c_pop(operand, nxt):
-    def step(stack, ctx):
-        stack.pop()
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_dup(operand, nxt):
-    def step(stack, ctx):
-        stack.append(stack[-1])
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_binary_arith(symbol):
-    def factory(operand, nxt):
-        def step(stack, ctx):
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(_arith(a, b, symbol))
-            return nxt(stack, ctx)
-        return step
+def _n_int_fast(native, general):
+    """Two inputs: *native* when both are plain ints, else *general*."""
+    def factory(operand, a, b):
+        def node(ctx):
+            x = a(ctx)
+            y = b(ctx)
+            if type(x) is int and type(y) is int:
+                return native(x, y)
+            return general(x, y)
+        return node
     return factory
 
 
-def _c_div(operand, nxt):
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(_divide(a, b))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_mod(operand, nxt):
-    to_int = values.to_int
-
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(to_int(a) % to_int(b))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_neg(operand, nxt):
-    to_float = values.to_float
-
-    def step(stack, ctx):
-        stack.append(-to_float(stack.pop()))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_shift(left):
-    def factory(operand, nxt):
-        to_int = values.to_int
-
-        def step(stack, ctx):
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(to_int(a) << to_int(b) if left else to_int(a) >> to_int(b))
-            return nxt(stack, ctx)
-        return step
+def _n_binary(compute):
+    def factory(operand, a, b):
+        def node(ctx):
+            return compute(a(ctx), b(ctx))
+        return node
     return factory
 
 
-def _c_eq(operand, nxt):
-    equal = values.equal
-
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(equal(a, b))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_ne(operand, nxt):
-    equal = values.equal
-
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(not equal(a, b))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_compare(check):
-    def factory(operand, nxt):
-        compare = values.compare
-
-        def step(stack, ctx):
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(check(compare(a, b)))
-            return nxt(stack, ctx)
-        return step
+def _n_unary(compute):
+    def factory(operand, a):
+        def node(ctx):
+            return compute(a(ctx))
+        return node
     return factory
 
 
-def _c_not(operand, nxt):
-    to_bool = values.to_bool
-
-    def step(stack, ctx):
-        stack.append(not to_bool(stack.pop()))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_and(operand, nxt):
-    to_bool = values.to_bool
-
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(to_bool(a) and to_bool(b))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_or(operand, nxt):
-    to_bool = values.to_bool
-
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(to_bool(a) or to_bool(b))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_ring(sub):
-    def factory(operand, nxt):
-        to_int = values.to_int
-
-        def step(stack, ctx):
-            b = stack.pop()
-            a = stack.pop()
-            value = to_int(a) - to_int(b) if sub else to_int(a) + to_int(b)
-            stack.append(ctx.idspace.wrap(value))
-            return nxt(stack, ctx)
-        return step
+def _n_ring(combine):
+    def factory(operand, a, b):
+        def node(ctx):
+            x = a(ctx)
+            y = b(ctx)
+            return ctx.idspace.wrap(combine(_to_int(x), _to_int(y)))
+        return node
     return factory
 
 
-def _c_ring_in(operand, nxt):
+def _n_ring_in(operand, v, lo, hi):
     include_low, include_high = operand
-    to_int = values.to_int
 
-    def step(stack, ctx):
-        hi = stack.pop()
-        lo = stack.pop()
-        v = stack.pop()
+    def node(ctx):
+        x = v(ctx)
+        low = lo(ctx)
+        high = hi(ctx)
         # Range tests over non-numeric values (e.g. the "-" null address used
         # by Chord's pred/landmark bootstrap facts) are simply false rather
         # than an error, so rules like ((PI1 == "-") || (P in (P1, N)))
         # behave as intended.
         try:
-            iv = to_int(v)
-            ilo = to_int(lo)
-            ihi = to_int(hi)
+            ix, ilo, ihi = _to_int(x), _to_int(low), _to_int(high)
         except Exception:
-            stack.append(False)
-        else:
-            stack.append(
-                ctx.idspace.in_interval(iv, ilo, ihi, include_low, include_high)
-            )
-        return nxt(stack, ctx)
-    return step
+            return False
+        return ctx.idspace.in_interval(ix, ilo, ihi, include_low, include_high)
+    return node
 
 
-def _c_call(operand, nxt):
-    name, argc = operand
-
-    def step(stack, ctx):
-        if argc:
-            args = stack[-argc:]
-            del stack[-argc:]
-        else:
-            args = []
-        stack.append(ctx.call(name, args))
-        return nxt(stack, ctx)
-    return step
+def _n_call(operand, *args):
+    name = operand[0]
+    if len(args) == 1:
+        (a,) = args
+        return lambda ctx: ctx.call(name, [a(ctx)])
+    return lambda ctx: ctx.call(name, [arg(ctx) for arg in args])
 
 
-_STEP_FACTORIES: Dict[Op, Callable[[Any, Callable], Callable]] = {
-    Op.PUSH: _c_push,
-    Op.LOAD: _c_load,
-    Op.POP: _c_pop,
-    Op.DUP: _c_dup,
-    Op.ADD: _c_binary_arith("+"),
-    Op.SUB: _c_binary_arith("-"),
-    Op.MUL: _c_binary_arith("*"),
-    Op.DIV: _c_div,
-    Op.MOD: _c_mod,
-    Op.NEG: _c_neg,
-    Op.SHL: _c_shift(True),
-    Op.SHR: _c_shift(False),
-    Op.EQ: _c_eq,
-    Op.NE: _c_ne,
-    Op.LT: _c_compare(lambda c: c < 0),
-    Op.LE: _c_compare(lambda c: c <= 0),
-    Op.GT: _c_compare(lambda c: c > 0),
-    Op.GE: _c_compare(lambda c: c >= 0),
-    Op.NOT: _c_not,
-    Op.AND: _c_and,
-    Op.OR: _c_or,
-    Op.RING_ADD: _c_ring(False),
-    Op.RING_SUB: _c_ring(True),
-    Op.RING_IN: _c_ring_in,
-    Op.CALL: _c_call,
+_to_int = values.to_int
+_to_bool = values.to_bool
+_compare = values.compare
+
+#: opcode -> (number of inputs, node factory); CALL's count is its operand's.
+#: DUP and POP are absent: a program using them is not a pure expression.
+_NODES: Dict[Op, Tuple[Optional[int], Callable[..., Callable]]] = {
+    Op.PUSH: (0, _n_push),
+    Op.LOAD: (0, _n_load),
+    Op.ADD: (2, _n_int_fast(operator.add, lambda x, y: _arith(x, y, "+"))),
+    Op.SUB: (2, _n_int_fast(operator.sub, lambda x, y: _arith(x, y, "-"))),
+    Op.MUL: (2, _n_int_fast(operator.mul, lambda x, y: _arith(x, y, "*"))),
+    Op.DIV: (2, _n_binary(_divide)),
+    Op.MOD: (2, _n_binary(lambda x, y: _to_int(x) % _to_int(y))),
+    Op.NEG: (1, _n_unary(lambda x: -values.to_float(x))),
+    Op.SHL: (2, _n_binary(lambda x, y: _to_int(x) << _to_int(y))),
+    Op.SHR: (2, _n_binary(lambda x, y: _to_int(x) >> _to_int(y))),
+    Op.EQ: (2, _n_int_fast(operator.eq, values.equal)),
+    Op.NE: (2, _n_int_fast(operator.ne, lambda x, y: not values.equal(x, y))),
+    Op.LT: (2, _n_binary(lambda x, y: _compare(x, y) < 0)),
+    Op.LE: (2, _n_binary(lambda x, y: _compare(x, y) <= 0)),
+    Op.GT: (2, _n_binary(lambda x, y: _compare(x, y) > 0)),
+    Op.GE: (2, _n_binary(lambda x, y: _compare(x, y) >= 0)),
+    Op.NOT: (1, _n_unary(lambda x: not _to_bool(x))),
+    Op.AND: (2, _n_binary(lambda x, y: _to_bool(x) and _to_bool(y))),
+    Op.OR: (2, _n_binary(lambda x, y: _to_bool(x) or _to_bool(y))),
+    Op.RING_ADD: (2, _n_ring(operator.add)),
+    Op.RING_SUB: (2, _n_ring(operator.sub)),
+    Op.RING_IN: (3, _n_ring_in),
+    Op.CALL: (None, _n_call),
 }
+
+
+def _expression_tree(program: Program) -> Optional[Callable[[EvalContext], Any]]:
+    """Symbolically execute *program* into one expression node.
+
+    Each stack slot holds the node that computes it, so every operator pops
+    its input nodes and pushes a node over them.  Returns ``None`` when the
+    code is not a single expression: ``DUP``/``POP``, too few inputs for an
+    operator, or anything but exactly one value left at ``STOP`` or the end.
+    """
+    stack: List[Callable] = []
+    stop = Op.STOP
+    for op, operand in program.instructions:
+        if op is stop:
+            break
+        entry = _NODES.get(op)
+        if entry is None:
+            return None
+        count, factory = entry
+        if count is None:
+            count = operand[1]
+        split = len(stack) - count
+        if split < 0:
+            return None
+        inputs = stack[split:]
+        del stack[split:]
+        stack.append(factory(operand, *inputs))
+    return stack[0] if len(stack) == 1 else None
 
 
 def compile_program(program: Program) -> Callable[[EvalContext], Any]:
     """Compile *program* into a single callable ``fn(ctx) -> result``.
 
-    Built back-to-front so each instruction's closure captures its successor;
-    a ``STOP`` discards the (unreachable) chain built after it.
+    Programs the expression tree cannot express, or longer than
+    :data:`MAX_CHAINED_INSTRUCTIONS`, run through the interpreter instead.
     """
-    if len(program.instructions) > MAX_CHAINED_INSTRUCTIONS:
+    tree = None
+    if len(program.instructions) <= MAX_CHAINED_INSTRUCTIONS:
+        tree = _expression_tree(program)
+    if tree is None:
         return lambda ctx: VM.execute_interpreted(program, ctx)
 
-    step = _terminator
-    for op, operand in reversed(program.instructions):
-        if op is Op.STOP:
-            step = _terminator
-            continue
-        factory = _STEP_FACTORIES.get(op)
-        if factory is None:  # pragma: no cover - defensive
-            raise PELError(f"unhandled opcode {op!r}")
-        step = factory(operand, step)
-
-    chain = step
     source = program.source
 
     def run(ctx: EvalContext) -> Any:
         try:
-            return chain([], ctx)
+            return tree(ctx)
         except PELError:
             raise
         except Exception as exc:
@@ -521,10 +425,6 @@ class PelVM:
         if not stack:
             return None
         return stack[-1]
-
-    # -- arithmetic helpers (kept as static methods for API compatibility) ------
-    _arith = staticmethod(_arith)
-    _divide = staticmethod(_divide)
 
 
 #: A module-level VM instance; the VM is stateless so sharing it is safe.

@@ -27,7 +27,13 @@ optional aggregate → head routing — is fused into a single Python closure:
   bound into the closure at compile time;
 * the hot Chord shapes get extra specialization inside the operator hooks:
   single-``LOAD`` key programs and head fields become plain field accesses
-  (see ``Program.as_field_load``), skipping the PEL closure chain entirely.
+  (see ``Program.as_field_load``), skipping the compiled PEL tree entirely;
+* aggregate heads — event strands and continuous recomputes alike — build
+  no ``Tuple`` per projected row: :meth:`Project.fuse_fields` hands back
+  bare head-field tuples (computed fields coerced) and
+  :meth:`Aggregate.fold` groups and folds them into one ``Tuple`` per
+  group.  Only the empty-batch ``count<*>`` fallback row still goes
+  through :meth:`Aggregate.aggregate`, as on the interpreted walk.
 
 Because a pure pipeline visits tuples in the same order whether it is run
 batch-by-batch (interpreted) or depth-first (fused), the fused closure
@@ -69,7 +75,7 @@ class _FiringState:
         self.routes: List[HeadRoute] = []
         self.local: Any = None
         self.prefix: Optional[Fields] = None
-        self.projected: List[Tuple] = []
+        self.projected: List[Fields] = []
 
 
 def _compile_chain(
@@ -108,7 +114,6 @@ def fuse_strand(strand: RuleStrand, host: Any) -> Callable[[Tuple, Any], StrandR
     ctx = EvalContext.for_host(host)
     now = host.now
     state = _FiringState()
-    build = strand.project.fuse_builder(ctx)
     loc = strand.loc_position
     is_delete = strand.is_delete
     aggregate = strand.aggregate
@@ -117,6 +122,7 @@ def fuse_strand(strand: RuleStrand, host: Any) -> Callable[[Tuple, Any], StrandR
     rule_id = strand.rule_id
 
     if aggregate is None:
+        build = strand.project.fuse_builder(ctx)
         if loc is None:
 
             def sink(fields):
@@ -151,6 +157,8 @@ def fuse_strand(strand: RuleStrand, host: Any) -> Callable[[Tuple, Any], StrandR
             if strand.fallback_project is not None
             else None
         )
+        head_name = strand.project.output_name
+        fields_of = strand.project.fuse_fields(ctx)
         # With no positive join the interpreted walk's fallback prefix is the
         # (at most one) tuple surviving the whole op chain, so capture it at
         # the sink instead of mid-chain.
@@ -159,7 +167,7 @@ def fuse_strand(strand: RuleStrand, host: Any) -> Callable[[Tuple, Any], StrandR
         def sink(fields):
             if capture_at_sink and state.prefix is None:
                 state.prefix = fields
-            state.projected.append(build(fields))
+            state.projected.append(fields_of(fields))
 
         chain = _compile_chain(strand.ops, sink, ctx, now, state, first_join)
 
@@ -174,10 +182,12 @@ def fuse_strand(strand: RuleStrand, host: Any) -> Callable[[Tuple, Any], StrandR
             projected = state.projected = []
             state.prefix = None
             chain(fields)
-            fallback = None
-            if not projected and fallback_build is not None and state.prefix is not None:
-                fallback = fallback_build(state.prefix)
-            results = aggregate.aggregate(projected, empty_fallback=fallback)
+            if projected:
+                results = aggregate.fold(head_name, projected)
+            elif fallback_build is not None and state.prefix is not None:
+                results = aggregate.aggregate((), empty_fallback=fallback_build(state.prefix))
+            else:
+                results = []
             routes: List[HeadRoute] = []
             for tup in results:
                 dest = local_address if loc is None else tup.fields[loc]
@@ -203,7 +213,8 @@ def fuse_continuous(
     ctx = EvalContext.for_host(host)
     now_fn = host.now
     state = _FiringState()
-    build = strand.project.fuse_builder(ctx)
+    fields_of = strand.project.fuse_fields(ctx)
+    head_name = strand.project.output_name
     aggregate = strand.aggregate
     group_positions = aggregate.group_positions
     loc = strand.loc_position
@@ -211,7 +222,7 @@ def fuse_continuous(
     last_emitted = strand._last_emitted
 
     def sink(fields):
-        state.projected.append(build(fields))
+        state.projected.append(fields_of(fields))
 
     chain = _compile_chain(strand.ops, sink, ctx, now_fn, state, None)
 
@@ -222,7 +233,7 @@ def fuse_continuous(
         for row in base_table.scan(now):
             chain(row.fields)
         routes: List[HeadRoute] = []
-        for tup in aggregate.aggregate(projected):
+        for tup in aggregate.fold(head_name, projected):
             key = tup.key(group_positions)
             if last_emitted.get(key) == tup.fields:
                 continue

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import Tuple, fresh_tuple_id
-from repro.core.errors import TupleError
+from repro.core import Tuple, fresh_tuple_id, values
+from repro.core.errors import TupleError, ValueError_
 
 
 class TestConstruction:
@@ -20,6 +20,76 @@ class TestConstruction:
     def test_fields_are_coerced(self):
         t = Tuple("x", [[1, 2]])
         assert t.fields == ((1, 2),)
+
+
+class Ident(int):
+    """An int subclass: not a scalar type, so it takes the coerce pass."""
+
+
+class Label(str):
+    pass
+
+
+_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**60, max_value=2**170),
+    st.floats(allow_nan=False),
+    st.text(max_size=5),
+    st.binary(max_size=5),
+    st.integers().map(Ident),
+    st.text(max_size=5).map(Label),
+)
+_field = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple)
+    ),
+    max_leaves=8,
+)
+
+
+class TestCheckedFastPath:
+    """The scalar type test must be invisible: same fields as coercing all."""
+
+    @given(st.lists(_field, max_size=6))
+    def test_fields_equal_coerced_fields(self, fs):
+        t = Tuple("rel", fs)
+        expected = tuple(values.coerce(f) for f in fs)
+        assert t.fields == expected
+        assert [type(f) for f in t.fields] == [type(f) for f in expected]
+
+    @given(st.lists(_field, max_size=6))
+    def test_equal_inputs_hash_equal(self, fs):
+        a = Tuple("rel", fs)
+        b = Tuple("rel", [values.coerce(f) for f in fs])
+        assert a == b
+        assert hash(a) == hash(b)
+
+    @pytest.mark.parametrize(
+        "bad", [object(), {1: 2}, {1}, [1, object()], (2, [3, object()])]
+    )
+    def test_unrepresentable_value_still_raises(self, bad):
+        with pytest.raises(ValueError_):
+            Tuple("rel", [1, "x", bad])
+
+    def test_generator_is_consumed_exactly_once(self):
+        pulled = []
+
+        def fields():
+            for value in (1, "a", [2, 3], None):
+                pulled.append(value)
+                yield value
+
+        t = Tuple("rel", fields())
+        assert t.fields == (1, "a", (2, 3), None)
+        assert pulled == [1, "a", [2, 3], None]
+
+    def test_lists_and_subclasses_take_the_coerce_pass(self):
+        t = Tuple("rel", [Ident(5), Label("x"), [1, [2]]])
+        assert t.fields == (5, "x", (1, (2,)))
+        assert type(t.fields[0]) is Ident  # coerce keeps int subclasses
 
 
 class TestImmutability:

@@ -94,6 +94,63 @@ class TestCompare:
             assert values.compare(x, y) <= 0
 
 
+class TestExactIntegers:
+    """Two ints compare and sum exactly, never through float (53-bit)."""
+
+    BIG = 2**53
+    ID160 = 2**159 + 3  # a 160-bit Chord identifier
+
+    def test_equal_beyond_float_precision(self):
+        assert float(self.BIG) == float(self.BIG + 1)
+        assert not values.equal(self.BIG, self.BIG + 1)
+        assert values.equal(self.BIG + 1, self.BIG + 1)
+
+    def test_compare_beyond_float_precision(self):
+        assert values.compare(self.BIG, self.BIG + 1) == -1
+        assert values.compare(self.BIG + 1, self.BIG) == 1
+        assert values.compare(self.ID160, self.ID160 - 1) == 1
+        assert values.compare(self.ID160 - 1, self.ID160) == -1
+        assert values.compare(self.ID160, self.ID160) == 0
+
+    def test_int_subclass_compares_exactly(self):
+        class Ident(int):
+            pass
+
+        assert values.compare(Ident(self.BIG + 1), self.BIG) == 1
+        assert not values.equal(self.BIG, Ident(self.BIG + 1))
+
+    def test_mixed_int_float_still_compares_as_float(self):
+        assert values.compare(self.BIG + 1, float(self.BIG)) == 0
+        assert values.compare(1, 1.0) == 0
+        assert values.compare(True, 1) != 0  # bools keep their own rank
+
+    def test_min_max_of_160_bit_ids(self):
+        from repro.dataflow.aggregates import agg_max, agg_min
+
+        ids = [self.ID160, self.ID160 - 1, self.ID160 + 1]
+        assert agg_min(ids) == self.ID160 - 1
+        assert agg_max(ids) == self.ID160 + 1
+
+    def test_sum_of_ints_is_exact(self):
+        from repro.dataflow.aggregates import agg_sum
+
+        assert agg_sum([self.BIG, 1]) == self.BIG + 1
+        assert agg_sum([self.ID160, -3, 1]) == 2**159 + 1
+        assert type(agg_sum([self.BIG, 1])) is int
+        assert agg_sum([]) == 0
+
+    def test_sum_with_a_float_or_bool_is_float(self):
+        from repro.dataflow.aggregates import agg_sum
+
+        assert agg_sum([1, 2.5]) == 3.5
+        assert type(agg_sum([1, True])) is float
+
+    @given(st.integers(-(2**170), 2**170), st.integers(-(2**170), 2**170))
+    def test_compare_matches_python_on_ints(self, a, b):
+        assert values.compare(a, b) == (a > b) - (a < b)
+        assert values.equal(a, b) == (a == b)
+
+
 class TestSizeEstimate:
     def test_sizes_monotonic_in_content(self):
         assert values.estimate_size("ab") < values.estimate_size("abcdef")

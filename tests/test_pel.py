@@ -295,6 +295,234 @@ class TestClosureCompilationDifferential:
         assert run(program) == MAX_CHAINED_INSTRUCTIONS + 10
 
 
+def _both_paths(program, ctx_factory):
+    """``(compiled, interpreted)`` outcomes: a value or the PELError text."""
+    out = []
+    for execute in (VM.execute, VM.execute_interpreted):
+        try:
+            out.append(("value", execute(program, ctx_factory())))
+        except PELError as exc:
+            out.append(("error", str(exc)))
+    return out
+
+
+class TestExactIntegerArithmetic:
+    """Int/int arithmetic and comparison are exact on both execution paths."""
+
+    BIG = 2**53
+    ID160 = 2**159 + 3
+
+    def test_arith_helper_is_exact(self):
+        from repro.pel.vm import _arith
+
+        assert _arith(self.ID160, 1, "-") == 2**159 + 2
+        assert _arith(self.BIG, 1, "+") == self.BIG + 1
+        assert _arith(self.BIG + 1, 3, "*") == 3 * self.BIG + 3
+        assert type(_arith(self.BIG, 1, "+")) is int
+        assert _arith(self.BIG, 1.0, "+") == float(self.BIG)  # floats stay floats
+
+    @pytest.mark.parametrize(
+        "op,a,b,expected",
+        [
+            (Op.ADD, BIG, 1, BIG + 1),
+            (Op.SUB, ID160, 1, 2**159 + 2),
+            (Op.MUL, BIG + 1, 3, 3 * BIG + 3),
+            (Op.EQ, BIG, BIG + 1, False),
+            (Op.NE, BIG, BIG + 1, True),
+            (Op.LT, BIG, BIG + 1, True),
+            (Op.GE, ID160 - 1, ID160, False),
+            (Op.ADD, True, 1, 2),  # bools are not ints here: float path
+        ],
+        ids=["add-2^53", "sub-160bit", "mul-2^53", "eq-2^53", "ne-2^53", "lt-2^53",
+             "ge-160bit", "add-bool"],
+    )
+    def test_both_paths_exact(self, op, a, b, expected):
+        program = Program(instructions=[(Op.LOAD, 0), (Op.LOAD, 1), (op, None)])
+        outcomes = _both_paths(program, lambda: EvalContext(fields=(a, b)))
+        assert outcomes == [("value", expected)] * 2
+        assert type(VM.execute(program, EvalContext(fields=(a, b)))) is type(
+            VM.execute_interpreted(program, EvalContext(fields=(a, b)))
+        )
+
+    def test_chord_successor_distance_at_160_bits(self):
+        # Chord's D := f_wrap(f_dist(N, S) - 1) with paper-sized identifiers
+        n, s = 2**159 + 3, 2**159 + 7
+        program = compile_expression(
+            parse_expression("f_wrap(f_dist(N, S) - 1)"), {"N": 0, "S": 1}
+        )
+        ctx = lambda: EvalContext(  # noqa: E731
+            fields=(n, s), builtins=make_builtins(), idspace=IdSpace(bits=160)
+        )
+        assert _both_paths(program, ctx) == [("value", 3)] * 2
+        program = compile_expression(
+            parse_expression("f_wrap(f_dist(N, S) - 1) == D"), {"N": 0, "S": 1, "D": 2}
+        )
+        ctx = lambda: EvalContext(  # noqa: E731
+            fields=(s, n, 2**160 - 5), builtins=make_builtins(), idspace=IdSpace(bits=160)
+        )
+        assert _both_paths(program, ctx) == [("value", True)] * 2
+
+
+class TestExpressionTreeDifferential:
+    """Tree-compiled programs against the opcode interpreter."""
+
+    OPERANDS = (
+        0, 1, -7, 3, 2**53 + 1, 2**159 + 3, 2.5, -0.0, 1e300, True, False,
+        None, "", "ab", "-", b"\x01", (1, 2),
+    )
+    BINARY = (
+        Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.SHL, Op.SHR, Op.EQ, Op.NE,
+        Op.LT, Op.LE, Op.GT, Op.GE, Op.AND, Op.OR, Op.RING_ADD, Op.RING_SUB,
+    )
+
+    def _expression(self, rng, depth, out):
+        """Append the stack code of a random expression to *out*."""
+        roll = rng.random()
+        if depth == 0 or roll < 0.25:
+            if rng.random() < 0.5:
+                out.append((Op.LOAD, rng.randrange(4)))
+            else:
+                out.append((Op.PUSH, rng.choice(self.OPERANDS)))
+        elif roll < 0.35:
+            self._expression(rng, depth - 1, out)
+            out.append((rng.choice((Op.NOT, Op.NEG)), None))
+        elif roll < 0.45:
+            for _ in range(3):
+                self._expression(rng, depth - 1, out)
+            out.append((Op.RING_IN, (rng.random() < 0.5, rng.random() < 0.5)))
+        elif roll < 0.55:
+            argc = rng.choice((1, 2))
+            for _ in range(argc):
+                self._expression(rng, depth - 1, out)
+            out.append((Op.CALL, (rng.choice(("f_max", "f_min")), 2) if argc == 2
+                        else (rng.choice(("f_int", "f_str", "f_wrap")), 1)))
+        else:
+            self._expression(rng, depth - 1, out)
+            self._expression(rng, depth - 1, out)
+            out.append((rng.choice(self.BINARY), None))
+
+    def test_generated_programs_agree(self):
+        import random
+
+        from repro.pel.vm import _expression_tree
+
+        rng = random.Random(20261017)
+        errors = 0
+        for _ in range(3000):
+            instructions = []
+            self._expression(rng, rng.randrange(1, 5), instructions)
+            program = Program(instructions=instructions)
+            assert _expression_tree(program) is not None
+            fields = tuple(rng.choice(self.OPERANDS) for _ in range(4))
+
+            def ctx():
+                return EvalContext(
+                    fields=fields, builtins=make_builtins(), idspace=IdSpace(bits=16)
+                )
+
+            compiled, interpreted = _both_paths(program, ctx)
+            assert compiled == interpreted, program.disassemble()
+            if compiled[0] == "value":
+                assert type(compiled[1]) is type(interpreted[1])
+            else:
+                errors += 1
+        # the mix exercises error paths as well as values
+        assert 100 < errors < 2900
+
+    def _recording_builtins(self, log):
+        def f_rec(ctx, tag, result):
+            log.append(tag)
+            return result
+
+        builtins = make_builtins()
+        builtins["f_rec"] = f_rec
+        return builtins
+
+    @pytest.mark.parametrize(
+        "text,expected_log",
+        [
+            ("f_rec(1, 2) + f_rec(2, 3) * f_rec(3, 4)", [1, 2, 3]),
+            ("f_rec(1, false) && f_rec(2, true)", [1, 2]),
+            ("f_rec(1, true) || f_rec(2, false)", [1, 2]),
+            ("f_max(f_rec(1, 1), f_rec(2, 2)) == f_rec(3, 2)", [1, 2, 3]),
+            ("f_rec(1, 5) in (f_rec(2, 1), f_rec(3, 9)]", [1, 2, 3]),
+        ],
+    )
+    def test_operands_evaluate_left_to_right_and_eagerly(self, text, expected_log):
+        program = compile_expression(parse_expression(text), {})
+        logs = []
+        results = []
+        for execute in (VM.execute, VM.execute_interpreted):
+            log = []
+            results.append(execute(program, EvalContext(builtins=self._recording_builtins(log))))
+            logs.append(log)
+        assert logs == [expected_log, expected_log]
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "instructions,fields,message",
+        [
+            ([(Op.LOAD, 5)], (1,), "LOAD 5 out of range (tuple arity 1)"),
+            ([(Op.PUSH, 1), (Op.LOAD, 3), (Op.ADD, None)], (1, 2), "LOAD 3 out of range (tuple arity 2)"),
+            ([(Op.PUSH, 1), (Op.PUSH, 0), (Op.DIV, None)], (), "division by zero"),
+            ([(Op.LOAD, 0), (Op.PUSH, 0.0), (Op.DIV, None)], (4,), "division by zero"),
+        ],
+    )
+    def test_error_messages_match(self, instructions, fields, message):
+        program = Program(instructions=list(instructions))
+        outcomes = _both_paths(program, lambda: EvalContext(fields=fields))
+        assert outcomes == [("error", message)] * 2
+
+    @pytest.mark.parametrize(
+        "instructions",
+        [
+            [(Op.PUSH, 4), (Op.DUP, None), (Op.ADD, None)],
+            [(Op.PUSH, 1), (Op.PUSH, 2), (Op.POP, None)],
+            [(Op.PUSH, 1), (Op.PUSH, 2)],  # leftover stack
+            [(Op.PUSH, 1), (Op.ADD, None)],  # too few inputs
+            [],
+        ],
+    )
+    def test_non_expressions_fall_back_to_the_interpreter(self, instructions, monkeypatch):
+        from repro.pel.vm import PelVM, _expression_tree
+
+        program = Program(instructions=list(instructions))
+        assert _expression_tree(program) is None
+        expected = _both_paths(program, EvalContext)[1]
+        calls = []
+        original = PelVM.execute_interpreted
+
+        def spy(self, prog, ctx):
+            calls.append(prog)
+            return original(self, prog, ctx)
+
+        monkeypatch.setattr(PelVM, "execute_interpreted", spy)
+        program._compiled = None
+        try:
+            got = ("value", VM.execute(program, EvalContext()))
+        except PELError as exc:
+            got = ("error", str(exc))
+        assert calls == [program]
+        assert got == expected
+
+    def test_expressions_do_not_use_the_interpreter(self, monkeypatch):
+        from repro.pel.vm import PelVM
+
+        def forbidden(self, prog, ctx):
+            raise AssertionError("interpreter used")
+
+        monkeypatch.setattr(PelVM, "execute_interpreted", forbidden)
+        program = compile_expression(parse_expression("(X + 1) * 2 < Y"), {"X": 0, "Y": 1})
+        assert VM.execute(program, EvalContext(fields=(3, 9))) is True
+
+    def test_stop_ends_the_expression(self):
+        from repro.pel.vm import _expression_tree
+
+        program = Program(instructions=[(Op.PUSH, 1), (Op.STOP, None), (Op.DUP, None)])
+        assert _expression_tree(program) is not None
+        assert _both_paths(program, EvalContext) == [("value", 1)] * 2
+
+
 class TestPropertyBased:
     @given(st.integers(-1000, 1000), st.integers(-1000, 1000))
     def test_addition_matches_python(self, a, b):

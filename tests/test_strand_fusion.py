@@ -185,6 +185,88 @@ def test_aggregate_fallback_emits_count_zero_both_modes():
     assert len(rf.routes) == 1 and rf.routes[0].tuple.fields[2] == 0
 
 
+FOLD_PROGRAM = """
+    materialize(item, infinity, infinity, keys(2)).
+    A1 stats@NI(NI, f_bucket(V), min<V>, max<V>, count<*>, sum<V>) :-
+        probe@NI(NI, L), item@NI(NI, K, V), V > L.
+    A2 tagged@NI(NI, f_pair(K), count<*>, max<K>) :- probe@NI(NI, L), item@NI(NI, K, V).
+    C1 spread@NI(NI, f_bucket(V), min<K>, sum<V>) :- item@NI(NI, K, V).
+"""
+
+
+def _fold_twins():
+    """Twin nodes whose computed group fields are an int and a list."""
+    builtins = {
+        "f_bucket": lambda ctx, v: v % 3,
+        "f_pair": lambda ctx, k: [k % 2, "odd" if k % 2 else "even"],
+    }
+    nodes = []
+    for fused in (True, False):
+        loop = EventLoop()
+        net = Network(loop, UniformTopology(latency=0.01))
+        node = P2Node("n1", FOLD_PROGRAM, net, loop, seed=0, fused=fused, extra_builtins=builtins)
+        net.register(node)
+        nodes.append(node)
+    return nodes
+
+
+def test_aggregate_folds_multi_group_fused_vs_interpreted():
+    """Fused folds of bare head fields match the per-Tuple aggregate."""
+    fused_node, interp_node = _fold_twins()
+    rng = random.Random(7)
+    for k in range(12):
+        row = Tuple.make("item", "n1", k, rng.choice((2**53 + 1, -5, 0, 7, 40, 2**159 + 3)))
+        for node in (fused_node, interp_node):
+            node.tables.get("item").insert(row, 0.0)
+    pairs = paired_strands(fused_node, interp_node)
+    assert {sf.rule_id for sf, _ in pairs} == {"A1", "A2"}
+    for sf, si in pairs:
+        assert sf.fused and not si.fused and sf.aggregate is not None
+        for limit in (-10, 6, 2**60, 2**200):
+            event = Tuple.make("probe", "n1", limit)
+            rf = sf.process(event, "n1").routes
+            ri = si.process(event, "n1").routes
+            assert rf == ri, (sf.rule_id, limit)
+            # group order is first appearance, in both modes
+            assert [r.tuple.fields[1] for r in rf] == [r.tuple.fields[1] for r in ri]
+        assert sf.aggregate.stats.emitted == si.aggregate.stats.emitted
+        assert_strands_agree(sf, si)
+    a1 = [sf for sf, _ in pairs if sf.rule_id == "A1"][0]
+    rows = a1.process(Tuple.make("probe", "n1", -10), "n1").routes
+    assert len(rows) == 3  # one per bucket, several rows each
+    a2 = [sf for sf, _ in pairs if sf.rule_id == "A2"][0]
+    groups = [r.tuple.fields[1] for r in a2.process(Tuple.make("probe", "n1", 0), "n1").routes]
+    assert groups == [(0, "even"), (1, "odd")]  # the list field is coerced to a tuple
+    # exact 160-bit min/max/sum survive the fold
+    assert any(r.tuple.fields[3] == 2**159 + 3 for r in rows)
+    # the empty batch: the strand without a fallback derives nothing
+    assert a1.process(Tuple.make("probe", "n1", 2**200), "n1").routes == []
+
+    cf, ci = fused_node.compiled.continuous[0], interp_node.compiled.continuous[0]
+    assert cf.fused and not ci.fused
+    rf, ri = cf.recompute(0.0, "n1"), ci.recompute(0.0, "n1")
+    assert rf == ri and len(rf) == 3
+    assert cf.aggregate.stats.emitted == ci.aggregate.stats.emitted == 3
+    assert cf._last_emitted == ci._last_emitted
+
+
+def test_aggregate_fold_empty_batch_count_fallback():
+    """An empty fold still takes the count<*> == 0 fallback row."""
+    fused_node, interp_node = make_twins(GENERATED_PROGRAMS["aggregate_with_fallback"])
+    sf = fused_node.compiled.strands_by_event["probe"][0]
+    si = interp_node.compiled.strands_by_event["probe"][0]
+    for node in (fused_node, interp_node):
+        node.tables.get("member").insert(Tuple.make("member", "n1", "a", 5), 0.0)
+        node.tables.get("member").insert(Tuple.make("member", "n1", "a", 50), 0.0)
+    for target in ("a", "missing", "a"):
+        rf = sf.process(Tuple.make("probe", "n1", target), "n1").routes
+        ri = si.process(Tuple.make("probe", "n1", target), "n1").routes
+        assert rf == ri
+        assert [r.tuple.fields[2] for r in rf] == ([1] if target == "a" else [0])
+    assert sf.aggregate.stats.emitted == si.aggregate.stats.emitted == 2
+    assert_strands_agree(sf, si)
+
+
 def test_continuous_aggregates_fused_vs_interpreted():
     source = """
         materialize(succDist, infinity, infinity, keys(2)).
